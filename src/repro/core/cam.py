@@ -16,7 +16,7 @@ destination.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["CamLine", "InputCam", "OutputCamLine", "OutputCam", "CamError"]
 
@@ -104,6 +104,9 @@ class InputCam:
         self.num_lines = num_lines
         self._lines: List[Optional[CamLine]] = [None] * num_lines
         self._by_dest: Dict[int, CamLine] = {}
+        #: the allocated lines in index order, rebuilt on allocate/free
+        #: (a snapshot: freeing a line while iterating it is safe).
+        self.live: Tuple[CamLine, ...] = ()
         #: times allocation failed because every line was busy — the
         #: scalability limit the paper's Fig. 8 exposes.
         self.alloc_failures = 0
@@ -116,15 +119,15 @@ class InputCam:
         return self._by_dest.get(dest)
 
     def lines(self) -> List[CamLine]:
-        """All currently allocated lines."""
-        return [ln for ln in self._lines if ln is not None]
+        """All currently allocated lines, in index order."""
+        return list(self.live)
 
     def line_at(self, cfq_index: int) -> Optional[CamLine]:
         return self._lines[cfq_index]
 
     @property
     def full(self) -> bool:
-        return all(ln is not None for ln in self._lines)
+        return len(self.live) == self.num_lines
 
     # -- mutation --------------------------------------------------------
     def allocate(self, dest: int, root: bool, now: float) -> Optional[CamLine]:
@@ -137,6 +140,7 @@ class InputCam:
                 line = CamLine(dest, idx, root, now)
                 self._lines[idx] = line
                 self._by_dest[dest] = line
+                self._relist()
                 self.allocations += 1
                 return line
         self.alloc_failures += 1
@@ -153,14 +157,23 @@ class InputCam:
             raise CamError(f"freeing unallocated line {line!r}")
         self._lines[line.cfq_index] = None
         del self._by_dest[line.dest]
+        self._relist()
         self.frees += 1
+
+    def _relist(self) -> None:
+        self.live = tuple(ln for ln in self._lines if ln is not None)
 
     # -- validation hook -------------------------------------------------
     def audit(self) -> None:
         """Check internal consistency (invariant-guard hook): the
-        by-destination index matches the line array exactly, and the
-        allocate/free balance equals the live line count."""
+        by-destination index matches the line array exactly, the cached
+        :attr:`live` tuple is the line array's allocated lines in index
+        order, and the allocate/free balance equals the live line count."""
         live = [ln for ln in self._lines if ln is not None]
+        if list(self.live) != live:
+            raise CamError(
+                f"CAM live-line cache skew: cached {self.live!r} vs lines {live!r}"
+            )
         for idx, ln in enumerate(self._lines):
             if ln is not None and ln.cfq_index != idx:
                 raise CamError(f"line {ln!r} filed at index {idx}")

@@ -126,20 +126,24 @@ class NfqCfqScheme(QueueScheme):
 
     def _build_heads(self) -> List[Tuple[PacketQueue, int, Packet]]:
         out: List[Tuple[PacketQueue, int, Packet]] = []
-        head = self.nfq.head()
-        if head is not None:
+        route = self.host.route
+        nfq = self.nfq
+        if nfq._q:
             # A congested head that post-processing could not isolate
             # (CAM full) is forwarded anyway — blocking it forever would
             # deadlock the lossless network.  That is exactly FBICM's
             # out-of-resources mode: HoL blocking returns, and the miss
             # is visible in ``self.cam.alloc_failures``.
-            out.append((self.nfq, self.host.route(head), head))
-        for line in self.cam.lines():
+            head = nfq._q[0]
+            out.append((nfq, route(head), head))
+        cfqs = self.cfqs
+        for line in self.cam.live:
             if line.stopped:
                 continue
-            chead = self.cfqs[line.cfq_index].head()
-            if chead is not None:
-                out.append((self.cfqs[line.cfq_index], self.host.route(chead), chead))
+            cfq = cfqs[line.cfq_index]
+            if cfq._q:
+                chead = cfq._q[0]
+                out.append((cfq, route(chead), chead))
         return out
 
     # ------------------------------------------------------------------
@@ -190,7 +194,7 @@ class NfqCfqScheme(QueueScheme):
         """A new output-CAM line appeared: re-run post-processing, and
         demote any local "root" line for a tree that downstream has now
         announced (the real root is closer to the congested point)."""
-        for line in self.cam.lines():
+        for line in self.cam.live:
             if line.root and self.host.announced_tree(line.dest) is not None:
                 self._demote_root(line)
         self.update()
@@ -215,71 +219,72 @@ class NfqCfqScheme(QueueScheme):
             return
         self._in_update = True
         try:
+            nfq = self.nfq
+            threshold = self.host.params.detection_threshold
             changed = True
             while changed:
-                changed = self._post_process() | self._detect()
+                changed = self._post_process()
+                # cheap detection bound: untracked <= total NFQ bytes
+                if nfq.bytes >= threshold and self._detect():
+                    changed = True
             self._check_thresholds()
         finally:
             self._in_update = False
-            self.invalidate_heads()
+            self._heads = None  # invalidate_heads(), inlined
 
     # -- step 1: move congested heads out of the NFQ ----------------------
     def _post_process(self) -> bool:
         moved = False
-        while True:
-            head = self.nfq.head()
-            if head is None:
-                break
-            line = self._line_for(head)
-            if line is None:
-                line = self._maybe_adopt_announced(head)
-            if line is None:
-                break
-            self.nfq.pop()
+        nfq = self.nfq
+        queued = nfq._q
+        while queued:
+            head = queued[0]
+            # a live (non-orphaned) line captures the head; otherwise a
+            # downstream-announced tree may adopt it
+            line = self.cam._by_dest.get(head.dst)
+            if line is None or line.orphaned:
+                rec = self.host.announced_tree(head.dst)
+                if rec is None:
+                    break
+                line = self._adopt_announced(head.dst, rec, line)
+                if line is None:
+                    break
+            nfq.pop()
             self.cfqs[line.cfq_index].push(head)
             self.moves += 1
             moved = True
         return moved
 
-    def _line_for(self, pkt: Packet) -> Optional[CamLine]:
-        line = self.cam.lookup(pkt.dst)
-        if line is not None and not line.orphaned:
-            return line
-        return None
+    def _adopt_announced(self, dest: int, rec: OutputCamLine, line: Optional[CamLine]) -> Optional[CamLine]:
+        """Allocate a non-root CFQ for the tree ``rec`` announced from
+        downstream for ``dest``.
 
-    def _maybe_adopt_announced(self, pkt: Packet) -> Optional[CamLine]:
-        """Allocate a non-root CFQ for a tree announced from downstream.
-
-        If an *orphaned* line for the destination is still draining,
+        If an *orphaned* ``line`` for the destination is still draining,
         the announcement revives it (a CAM hit on the destination) —
         one destination never occupies two CFQs."""
-        rec = self.host.announced_tree(pkt.dst)
-        if rec is None:
-            return None
-        line = self.cam.lookup(pkt.dst)
         if line is not None:
             line.orphaned = False
             line.stopped = rec.stopped
             return line
-        line = self.cam.allocate(pkt.dst, root=False, now=self.host.now())
+        line = self.cam.allocate(dest, root=False, now=self.host.now())
         if line is not None:
             line.stopped = rec.stopped
         return line
 
     # -- step 2: local congestion detection --------------------------------
     def _detect(self) -> bool:
-        if self.host.params.num_cfqs == 0:
+        """Run once the NFQ holds ``detection_threshold`` bytes."""
+        p = self.host.params
+        if p.num_cfqs == 0:
             return False
-        if self.nfq.bytes < self.host.params.detection_threshold:
-            return False  # cheap bound: untracked <= total NFQ bytes
-        if self.cam.full and not any(ln.orphaned for ln in self.cam.lines()):
+        if self.cam.full and not any(ln.orphaned for ln in self.cam.live):
             # Every CFQ is holding a live tree: no allocation (nor
             # orphan revival) is possible, so skip the occupancy scan.
             # This is the port's saturated steady state on the 64-node
             # runs, so the early-out matters for simulation speed.
             self.cam.note_full()
             return False
-        if self._untracked_nfq_bytes() < self.host.params.detection_threshold:
+        if self._untracked_nfq_bytes() < p.detection_threshold:
             return False
         dest = self._blame_destination()
         if dest is None:
@@ -314,7 +319,7 @@ class NfqCfqScheme(QueueScheme):
         queue's incremental per-destination counters (O(#CFQs))."""
         tracked = 0
         dest_bytes = self.nfq.dest_bytes
-        for ln in self.cam.lines():
+        for ln in self.cam.live:
             if not ln.orphaned:
                 tracked += dest_bytes.get(ln.dest, 0)
         return self.nfq.bytes - tracked
@@ -342,9 +347,14 @@ class NfqCfqScheme(QueueScheme):
 
     # -- step 3: per-CFQ thresholds (propagate / stop / go / hot / free) ---
     def _check_thresholds(self) -> None:
+        live = self.cam.live
+        if not live:
+            return
         p = self.host.params
-        for line in self.cam.lines():
-            occ = self.cfqs[line.cfq_index].bytes
+        cfqs = self.cfqs
+        for line in live:
+            cfq = cfqs[line.cfq_index]
+            occ = cfq.bytes
             if not line.propagated and occ >= p.propagation_threshold and not line.orphaned:
                 line.propagated = True
                 self.host.send_upstream(CfqAlloc(line.dest, id(line)))
@@ -371,7 +381,8 @@ class NfqCfqScheme(QueueScheme):
                     # a pending dwell only survives genuine standing
                     # congestion; full drainage disarms it
                     self._hot_pending.pop(line.cfq_index, None)
-            self._maybe_deallocate(line)
+            if not cfq._q and not line.stopped:
+                self._maybe_deallocate(line)
 
     def _arm_hot(self, line: CamLine) -> None:
         """Start the congestion-state dwell for a root CFQ above High.
@@ -421,9 +432,9 @@ class NfqCfqScheme(QueueScheme):
         self.host.schedule(dwell, confirm)
 
     def _maybe_deallocate(self, line: CamLine) -> None:
+        """Free an empty, un-stopped CFQ's line (the caller checks
+        both), unless it is still inside its minimum lifetime."""
         p = self.host.params
-        if not self.cfqs[line.cfq_index].empty or line.stopped:
-            return
         # Hysteresis: young CFQs wait out cfq_min_lifetime before
         # deallocating (the 1 ns slack absorbs float rounding of the
         # recheck's wake-up time).
@@ -471,7 +482,7 @@ class NfqCfqScheme(QueueScheme):
     # introspection
     # ------------------------------------------------------------------
     def allocated_cfqs(self) -> int:
-        return len(self.cam.lines())
+        return len(self.cam.live)
 
     def cam_alloc_failures(self) -> int:
         return self.cam.alloc_failures

@@ -94,19 +94,23 @@ class ISlip:
         matched_out: Dict[int, int] = {}
 
         for iteration in range(self.iterations):
-            grants: Dict[int, List[int]] = {}  # input -> outputs granting it
-            for out in range(self.num_outputs):
-                if out in matched_out:
-                    continue
-                requesters = [
-                    i for i, outs in req.items() if out in outs and i not in matched_in
-                ]
-                if not requesters:
-                    continue
-                winner = self._pick_grant(out, requesters)
-                grants.setdefault(winner, []).append(out)
-            if not grants:
+            # output -> its unmatched requesters, each list in request
+            # order (the order the per-output scan used to produce)
+            by_out: Dict[int, List[int]] = {}
+            for i, outs in req.items():
+                if i not in matched_in:
+                    for out in outs:
+                        if out not in matched_out:
+                            by_out.setdefault(out, []).append(i)
+            if not by_out:
                 break
+            # Outputs grant in ascending order, so the grants dict (and
+            # with it the commit order and the LRG clock) is filled the
+            # same way as a scan over range(num_outputs).
+            grants: Dict[int, List[int]] = {}  # input -> outputs granting it
+            for out in sorted(by_out):
+                winner = self._pick_grant(out, by_out[out])
+                grants.setdefault(winner, []).append(out)
             for inp, outs in grants.items():
                 choice = self._pick_accept(inp, outs)
                 matched_in[inp] = choice
@@ -206,7 +210,7 @@ class ISlip:
         exactly those ``match({inp: outs})`` would make (both pick
         rules are order-insensitive over the candidate set).
         """
-        choice = self._pick_accept(inp, list(outs))
+        choice = self._pick_accept(inp, outs)
         self._commit(inp, choice, 0)
         return choice
 
@@ -214,14 +218,14 @@ class ISlip:
     def _pick_grant(self, out: int, requesters: List[int]) -> int:
         if self.mode == "pointer":
             return _next_from(requesters, self.grant_ptr[out])
-        stamps = self._grant_stamp[out]
-        return min(requesters, key=lambda i: (stamps[i], i))
+        # stamps are unique within a row (distinct initial values, then
+        # a monotone clock), so the stamp alone orders the candidates
+        return min(requesters, key=self._grant_stamp[out].__getitem__)
 
     def _pick_accept(self, inp: int, outs: List[int]) -> int:
         if self.mode == "pointer":
             return _next_from(outs, self.accept_ptr[inp])
-        stamps = self._accept_stamp[inp]
-        return min(outs, key=lambda o: (stamps[o], o))
+        return min(outs, key=self._accept_stamp[inp].__getitem__)
 
     def _commit(self, inp: int, out: int, iteration: int) -> None:
         if self.mode == "pointer":

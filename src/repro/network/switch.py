@@ -85,13 +85,6 @@ class InputPort:
         """True while at least one packet is being read (diagnostics)."""
         return self.active_rate > 0.0
 
-    def can_read_at(self, rate: float) -> bool:
-        """Could this port start another crossbar read at ``rate``?"""
-        budget = self.switch.crossbar_bw
-        if budget is None:
-            return self.active_rate == 0.0
-        return self.active_rate + rate <= budget * (1.0 + 1e-9)
-
     # -- PortHost / IsolationHost ----------------------------------------
     def route(self, pkt: Packet) -> int:
         # Generic fallback; Switch.__init__ shadows this per instance
@@ -134,7 +127,8 @@ class InputPort:
     # admission logic becomes the credit view with no extra branch on
     # the golden path.
     def can_accept(self, pkt: Packet) -> bool:
-        return self.pool.free >= pkt.size and self.scheme.can_accept_extra(pkt)
+        pool = self.pool  # pool.free, inlined: the matcher asks per head
+        return pool.capacity - pool.used >= pkt.size and self.scheme.can_accept_extra(pkt)
 
     def reserve(self, pkt: Packet) -> None:
         self.pool.reserve(pkt.size)
@@ -179,8 +173,9 @@ class OutputPort:
         #: matcher skips heads bound here on these priorities.  Always
         #: empty under the static buffer model.
         self.paused_priorities: set = set()
-        #: the (input port, packet) currently crossing to this output.
-        self.current: Optional[Tuple[InputPort, Packet]] = None
+        #: the (input port, packet, read rate) currently crossing to
+        #: this output; the rate returns to the port's read budget.
+        self.current: Optional[Tuple[InputPort, Packet, float]] = None
         self.entered_congestion_state = 0
 
     # -- congestion state ---------------------------------------------------
@@ -341,10 +336,10 @@ class Switch:
     ) -> Tuple[Dict[int, List[int]], Dict[Tuple[int, int], List[Tuple[object, Packet]]]]:
         """Phase 1 of a matching round: the eligible request sets.
 
-        Asks every idle input port's scheme for its eligible queue heads
-        (the unmodified public
+        Takes every idle input port's eligible queue heads (the scheme's
+        cached list, built through
         :meth:`~repro.network.queueing.CongestionControlScheme.eligible_heads`
-        API), filters by output-link availability, downstream space and
+        on a miss), filters by output-link availability, downstream space and
         crossbar read budget, and returns ``(requests, candidates)``:
         ``requests`` maps each requesting input to its output list (the
         arbiter's input), ``candidates`` maps each (input, output) pair
@@ -364,14 +359,23 @@ class Switch:
         min_bw = self._min_link_bw
         paused = self._paused_pairs > 0
         nprios = self._nprios
+        now = self.sim.now
+        # An input port may start another crossbar read while its reads
+        # stay within the crossbar budget; without one, only when idle.
+        budget = self.crossbar_bw
+        limit = None if budget is None else budget * (1.0 + 1e-9)
         for port in self.input_ports:
             # The scheme caches this list between mutations, so an idle
             # port costs one truthiness check per round.
-            heads = port.scheme.eligible_heads()
+            scheme = port.scheme
+            heads = scheme._heads
+            if heads is None:
+                heads = scheme.eligible_heads()
             if not heads:
                 continue
+            active = port.active_rate
             # Saturated read path: not even the slowest link fits.
-            if not port.can_read_at(min_bw):
+            if (active != 0.0) if limit is None else (active + min_bw > limit):
                 continue
             outs: List[int] = []
             pidx = port.index
@@ -379,9 +383,10 @@ class Switch:
                 if paused and (pkt.dst % nprios) in output_ports[out].paused_priorities:
                     continue
                 link = output_ports[out].link_out
-                if link is None or not link.can_send(pkt):
+                # Link.can_send, inlined; busy is the common refusal.
+                if link is None or now < link.busy_until or not link.up or not link.rx.can_accept(pkt):
                     continue
-                if not port.can_read_at(link.bandwidth):
+                if limit is not None and active + link.bandwidth > limit:
                     continue
                 key = (pidx, out)
                 cands = candidates.get(key)

@@ -1,6 +1,8 @@
 """Unit tests for the congestion-tree CAMs."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cam import CamError, CamLine, InputCam, OutputCam
 
@@ -61,6 +63,90 @@ class TestInputCam:
         assert not line.orphaned
         assert not line.hot
         assert line.allocated_at == 5.0
+
+
+class TestInputCamLiveCache:
+    """The cached live-line tuple the isolation hot paths iterate."""
+
+    def test_interleaved_allocate_free_full(self):
+        cam = InputCam(3)
+        a = cam.allocate(10, False, 0.0)
+        b = cam.allocate(11, False, 0.0)
+        assert cam.live == (a, b) and not cam.full
+        c = cam.allocate(12, True, 0.0)
+        assert cam.live == (a, b, c) and cam.full
+        cam.free(b)
+        assert cam.live == (a, c) and not cam.full
+        d = cam.allocate(13, False, 0.0)  # refills the freed slot 1
+        assert d.cfq_index == 1
+        assert cam.live == (a, d, c) and cam.full
+        assert cam.lines() == [a, d, c]
+        cam.free(a)
+        cam.free(c)
+        assert cam.live == (d,) and cam.lines() == [d]
+        cam.free(d)
+        assert cam.live == () and cam.lines() == [] and not cam.full
+        cam.audit()
+
+    def test_free_while_iterating_lines(self):
+        cam = InputCam(4)
+        lines = [cam.allocate(dest, False, 0.0) for dest in range(4)]
+        seen = []
+        for line in cam.lines():
+            seen.append(line)
+            cam.free(line)
+        assert seen == lines
+        assert cam.live == () and cam.lines() == []
+        cam.audit()
+
+    def test_free_while_iterating_live(self):
+        cam = InputCam(3)
+        lines = [cam.allocate(dest, False, 0.0) for dest in range(3)]
+        seen = []
+        for line in cam.live:  # the tuple is a snapshot
+            seen.append(line)
+            if line.dest == 0:
+                cam.free(lines[1])
+        assert seen == lines
+        assert cam.live == (lines[0], lines[2])
+        cam.audit()
+
+    def test_lines_returns_a_fresh_list(self):
+        cam = InputCam(2)
+        a = cam.allocate(1, False, 0.0)
+        got = cam.lines()
+        got.clear()
+        assert cam.lines() == [a]
+
+    def test_audit_catches_live_cache_drift(self):
+        cam = InputCam(2)
+        a = cam.allocate(1, False, 0.0)
+        b = cam.allocate(2, False, 0.0)
+        cam.audit()
+        cam.live = (b, a)  # right lines, wrong (non-index) order
+        with pytest.raises(CamError, match="live-line cache"):
+            cam.audit()
+        cam.live = (a,)  # a line missing
+        with pytest.raises(CamError, match="live-line cache"):
+            cam.audit()
+
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 7)), max_size=60))
+    @settings(max_examples=150, deadline=None)
+    def test_live_matches_line_array_under_random_ops(self, ops):
+        cam = InputCam(3)
+        model = {}  # dest -> line
+        for alloc, dest in ops:
+            if alloc and dest not in model:
+                line = cam.allocate(dest, False, 0.0)
+                if line is not None:
+                    model[dest] = line
+                else:
+                    assert len(model) == 3
+            elif not alloc and dest in model:
+                cam.free(model.pop(dest))
+            assert cam.live == tuple(sorted(model.values(), key=lambda ln: ln.cfq_index))
+            assert cam.full == (len(model) == 3)
+            cam.audit()
 
 
 class TestOutputCam:
