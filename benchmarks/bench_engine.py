@@ -4,11 +4,10 @@ Two entry points over the same measurements:
 
 * **standalone** — ``PYTHONPATH=src python benchmarks/bench_engine.py``
   prints one JSON row per benchmark (events/s, net allocations, the
-  bucket-vs-heap and batch-vs-bucket dispatch speedups) and exits
-  non-zero if the bucket kernel misses the 1.8x dispatch target or the
-  batch kernel misses the 3x target (``--quick`` de-rates the gates to
-  ``repro.perf.PERF_GATES_QUICK`` — one repeat over a small population
-  is noisy).  This is what CI trend lines consume.
+  bucket-vs-heap dispatch speedup) and exits non-zero if the bucket
+  kernel misses the 1.8x dispatch target (``--quick`` de-rates the gate
+  to ``repro.perf.PERF_GATES_QUICK`` — one repeat over a small
+  population is noisy).  This is what CI trend lines consume.
 * **pytest-benchmark** — ``pytest benchmarks/bench_engine.py`` runs the
   classic many-round statistical versions.
 
@@ -29,12 +28,8 @@ from repro.network.packet import Packet
 from repro.perf import PERF_GATES, PERF_GATES_QUICK, bench_case, dispatch_microbench
 
 #: the dispatch speedup the bucket kernel must show over the legacy
-#: heap/handle path (see ISSUE/acceptance; docs/performance.md).
+#: heap/handle path (docs/performance.md).
 DISPATCH_SPEEDUP_TARGET = PERF_GATES["speedup"]
-
-#: the dispatch speedup the batch kernel's channel path must show over
-#: the bucket kernel at the default population (ISSUE 7 acceptance).
-BATCH_SPEEDUP_TARGET = PERF_GATES["speedup_batch"]
 
 
 # ----------------------------------------------------------------------
@@ -50,13 +45,6 @@ def test_event_dispatch_bucket(benchmark):
 def test_event_dispatch_heap(benchmark):
     rate = benchmark(
         lambda: dispatch_microbench("heap", n_events=30_000, repeats=1)["events_per_s"]
-    )
-    assert rate > 0
-
-
-def test_event_dispatch_batch(benchmark):
-    rate = benchmark(
-        lambda: dispatch_microbench("batch", n_events=30_000, repeats=1)["events_per_s"]
     )
     assert rate > 0
 
@@ -128,7 +116,7 @@ def json_rows(quick: bool = False):
     gates = PERF_GATES_QUICK if quick else PERF_GATES
     rows = []
     micro = {}
-    for kernel in ("bucket", "heap", "batch"):
+    for kernel in ("bucket", "heap"):
         m = dispatch_microbench(kernel, n_events=n_events, repeats=repeats)
         micro[kernel] = m
         rows.append(
@@ -147,15 +135,8 @@ def json_rows(quick: bool = False):
             "target": gates["speedup"],
         }
     )
-    rows.append(
-        {
-            "bench": "dispatch_speedup_batch",
-            "value": micro["batch"]["events_per_s"] / micro["bucket"]["events_per_s"],
-            "target": gates["speedup_batch"],
-        }
-    )
     ts = 0.03 if quick else 0.1
-    for kernel in ("bucket", "heap", "batch"):
+    for kernel in ("bucket", "heap"):
         row = bench_case("case1", "CCFIT", kernel=kernel, time_scale=ts, seed=1)
         rows.append({"bench": "case1", **row})
     return rows

@@ -50,8 +50,8 @@ Common options: ``--scale`` (time compression, default 0.3),
 ``--jobs N`` (worker processes for the simulation grid),
 ``--routing NAME[,NAME..]`` (routing policy axis — ``det``, ``ecmp``,
 ``adaptive``, ``flowlet``; names match case-insensitively, see
-docs/routing.md), ``--kernel NAME`` (simulation kernel — ``bucket``,
-``heap``, ``batch``; byte-identical results, see docs/performance.md),
+docs/routing.md), ``--kernel NAME`` (simulation kernel — ``bucket``
+or ``heap``; byte-identical results, see docs/performance.md),
 ``--cache-dir PATH`` / ``--no-cache`` (on-disk
 result cache; ``sweep`` caches by default, the other commands opt in
 via ``--cache-dir``), ``--faults SPEC`` (deterministic fault
@@ -130,7 +130,7 @@ def _add_engine_options(
         # `perf` opts out: its own --kernel selects which kernels to
         # *measure* (a list), not which one to simulate on.
         p.add_argument("--kernel", type=str, default=d(None), metavar="NAME",
-                       help="simulation kernel (bucket|heap|batch, case-insensitive; "
+                       help="simulation kernel (bucket|heap, case-insensitive; "
                             "default: engine default / REPRO_SIM_KERNEL).  Kernels "
                             "are byte-identical — this picks speed, not results")
     p.add_argument("--cache-dir", type=str, default=d(None), metavar="PATH",
@@ -242,8 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--kernel", dest="perf_kernel", default="all",
                       metavar="NAME[,NAME..]",
                       help="engine kernel(s) to measure: a comma-separated subset of "
-                           "bucket|heap|batch (case-insensitive), 'both' "
-                           "(bucket+heap) or 'all' (default)")
+                           "bucket|heap (case-insensitive) or 'all' (default)")
     perf.add_argument("--events", type=int, default=300_000,
                       help="microbenchmark event count")
     perf.add_argument("--out", default="BENCH_engine.json",
@@ -722,8 +721,6 @@ def _cmd_perf(args) -> int:
     raw_kernels = args.perf_kernel
     if raw_kernels == "all":
         kernels = KERNELS
-    elif raw_kernels == "both":
-        kernels = ("bucket", "heap")
     else:
         kernels = []
         for item in raw_kernels.split(","):

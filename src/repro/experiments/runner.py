@@ -181,50 +181,7 @@ def _run(
         base = params if params is not None else CCParams()
         if base.buffer_model != buffer_model:
             params = base.with_overrides(buffer_model=buffer_model)
-    effective_model = (
-        params.buffer_model if params is not None else "static"
-    )
     sim = sim_factory() if sim_factory is not None else None
-    if effective_model != "static":
-        # Non-static models pace admissions with PAUSE/RESUME control
-        # events; the batched kernel's slot-fused sweep cannot honour
-        # mid-slot XOFF crossings, so fall back to the validated
-        # byte-identical ``bucket`` kernel — the same degradation path
-        # fault injection takes (docs/buffers.md).
-        from repro.sim.engine import Simulator
-
-        if sim is None:
-            sim = Simulator()
-        if sim.kernel == "batch":
-            import warnings
-
-            warnings.warn(
-                f"buffer model {effective_model!r} is not supported on the "
-                "'batch' kernel; falling back to the bucket kernel for "
-                "this cell",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            sim = Simulator(kernel="bucket")
-    if faults is not None:
-        # Fault injection needs the wire-drop hooks of the scalar
-        # kernels; the batched kernel's fused delivery path has no
-        # per-packet interception point, so fall back to the validated
-        # byte-identical ``bucket`` kernel (docs/faults.md).
-        from repro.sim.engine import Simulator
-
-        if sim is None:
-            sim = Simulator()
-        if sim.kernel == "batch":
-            import warnings
-
-            warnings.warn(
-                "fault injection is not supported on the 'batch' kernel; "
-                "falling back to the bucket kernel for this cell",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            sim = Simulator(kernel="bucket")
     fabric: Fabric = build_fabric(
         config.topo(),
         scheme=scheme,
@@ -447,7 +404,7 @@ def run_case(
     (results stay byte-identical; the bundle rides on the result) —
     which otherwise defaults from ``options.telemetry``.
 
-    ``kernel`` names a simulation kernel (``bucket``/``heap``/``batch``,
+    ``kernel`` names a simulation kernel (``bucket``/``heap``,
     resolved case-insensitively via
     :func:`repro.sim.engine.resolve_kernel`; unknown names raise
     ``ValueError`` with a did-you-mean hint).  ``None`` defers to the
@@ -467,9 +424,7 @@ def run_case(
     ``shared``, docs/buffers.md); it defaults from
     ``options.buffer_model`` and overrides ``params.buffer_model`` when
     given.  ``None`` with default params runs the ``static`` golden
-    reference, byte-identical to pre-buffer-model results.  Non-static
-    models degrade from the ``batch`` kernel to ``bucket`` with a
-    ``RuntimeWarning``, like fault plans do.
+    reference, byte-identical to pre-buffer-model results.
     """
     if case not in _CELLS:
         raise KeyError(f"unknown case {case!r}; choose from {sorted(_CELLS)}")

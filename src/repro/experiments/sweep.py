@@ -230,7 +230,7 @@ class SimJob:
         ``kernel`` is deliberately **absent**: every kernel produces
         byte-identical results (the golden-equivalence contract, see
         docs/performance.md), so a cached bucket-kernel cell may serve
-        a batch-kernel run and vice versa — the kernel is a speed
+        a heap-kernel run and vice versa — the kernel is a speed
         knob, not part of the output's preimage."""
         out = {
             "version": __version__,

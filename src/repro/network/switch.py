@@ -343,9 +343,9 @@ class Switch:
         crossbar read budget, and returns ``(requests, candidates)``:
         ``requests`` maps each requesting input to its output list (the
         arbiter's input), ``candidates`` maps each (input, output) pair
-        to its head-packet choices.  Shared by the event-driven
-        :meth:`_match` and the slot-batched
-        :class:`~repro.network.arbiter.SlotArbiter` driver.
+        to its head-packet choices.  :meth:`_match` calls it once per
+        round; it stays a method of its own because the layer tracer
+        (``perfbench/tracer.py``) counts its calls as matching rounds.
         """
         if self._min_link_bw is None:
             self._min_link_bw = min(
@@ -408,7 +408,10 @@ class Switch:
         matched (input, output) pair, round-robining among that pair's
         head-packet candidates.  Returns True when anything started (the
         caller may immediately arbitrate again: with crossbar headroom
-        an input port can feed several outputs in the same instant)."""
+        an input port can feed several outputs in the same instant).
+        Called by :meth:`_match` for every round that found requests;
+        the layer tracer (``perfbench/tracer.py``) counts its calls to
+        measure the match yield, so it stays a method of its own."""
         for inp, out in matches.items():
             cands = candidates[(inp, out)]
             port = self.input_ports[inp]

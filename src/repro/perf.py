@@ -14,12 +14,8 @@ track regressions:
   production :class:`~repro.network.link.Link`, while the ``heap``
   kernel drives the handle-allocating
   :meth:`~repro.sim.engine.Simulator.schedule` path — i.e. the
-  pre-optimisation engine end to end — and the ``batch`` kernel drives
-  the same three periodic event streams through its vectorised channel
-  API (:meth:`~repro.sim.batch.BatchSimulator.add_channel`), the
-  struct-of-arrays fast path the slot kernel exists for.  The
-  bucket/heap ratio is the headline *speedup*; the batch/bucket ratio
-  is *speedup_batch* (gated at ≥3× by ``repro perf --check``).
+  pre-optimisation engine end to end.  The bucket/heap ratio is the
+  headline *speedup* (gated by ``repro perf --check``).
 * **case benchmark** — full figure cells through
   :func:`repro.experiments.runner.run_case` with an injected
   ``Simulator(kernel=..., profile=True)``, reporting wall-clock
@@ -71,16 +67,13 @@ ROUTING_GATE_PCT = 5.0
 #: hard machine-independent floors enforced by :func:`check_report`
 #: (``repro perf --check``): each key is a report ratio that must meet
 #: its value regardless of baseline.  ``speedup`` is bucket-vs-heap
-#: dispatch (PR 2's win), ``speedup_batch`` is batch-vs-bucket
-#: dispatch (this kernel's ≥3× acceptance gate).
-PERF_GATES = {"speedup": 1.8, "speedup_batch": 3.0}
+#: dispatch.
+PERF_GATES = {"speedup": 1.8}
 
 #: floors for ``--quick`` reports: a single-repeat 60 k-event
 #: microbench measures the bucket-vs-heap gap with real scheduler
-#: noise (observed 1.6–2.7× on one host), so the bucket floor is
-#: de-rated while the batch floor holds — its margin is ~an order of
-#: magnitude, noise cannot mask a real regression through it.
-PERF_GATES_QUICK = {"speedup": 1.25, "speedup_batch": 3.0}
+#: noise (observed 1.6–2.7× on one host), so the floor is de-rated.
+PERF_GATES_QUICK = {"speedup": 1.25}
 
 #: relative slack for baseline-ratio comparisons in
 #: :func:`check_report`: a fresh ratio may fall up to this fraction
@@ -162,28 +155,6 @@ class _LegacyChain:
         pass
 
 
-def _batch_population(sim: Simulator, chains: int) -> None:
-    """The microbench population on the batch kernel's channel API.
-
-    The event streams a :class:`_PooledChain` settles into are exactly
-    periodic: per chain starting at ``t``, hops at ``t + k*859.2``,
-    serialisation-dones at ``t + 819.2 + k*859.2`` and credit returns
-    at ``t + 859.2 + k*859.2``.  Three
-    :class:`~repro.sim.batch.BatchChannel`\\ s (one per stream, each
-    holding every chain) express that population the way the slot
-    kernel wants it: whole firing rounds advanced per MTU slot with no
-    per-event Python callback — the same simulated workload, dispatched
-    through the struct-of-arrays path.
-    """
-    import numpy as np
-
-    period = _SER_NS + _WIRE_NS
-    starts = 1.0 + np.arange(chains, dtype=np.float64) * 13.1
-    sim.add_channel(starts.copy(), period, label="hop")
-    sim.add_channel(starts + _SER_NS, period, label="tx_done")
-    sim.add_channel(starts + period, period, label="credit")
-
-
 def dispatch_microbench(
     kernel: str,
     n_events: int = 300_000,
@@ -217,12 +188,9 @@ def dispatch_microbench(
     # heap so one rep's garbage is not another rep's pause.
     for rep in range(repeats + 1):
         sim = Simulator(kernel=kernel)
-        if kernel == "batch":
-            _batch_population(sim, chains)
-        else:
-            for i in range(chains):
-                # stagger starts off the bucket grid so chains do not align
-                chain_cls(sim, 1.0 + i * 13.1)
+        for i in range(chains):
+            # stagger starts off the bucket grid so chains do not align
+            chain_cls(sim, 1.0 + i * 13.1)
         gc.collect()
         blocks0 = sys.getallocatedblocks()
         t0 = time.perf_counter()
@@ -505,10 +473,6 @@ def run_perf(
     }
     if "bucket" in micro and "heap" in micro:
         report["speedup"] = micro["bucket"]["events_per_s"] / micro["heap"]["events_per_s"]
-    if "batch" in micro and "bucket" in micro:
-        report["speedup_batch"] = (
-            micro["batch"]["events_per_s"] / micro["bucket"]["events_per_s"]
-        )
     # the routing gate keeps its full repeat count even in quick mode:
     # the measurement is cheap (~0.3 s) and the gate is a hard CI assert
     report["routing"] = routing_dispatch_overhead(repeats=max(5, micro_repeats))
@@ -622,8 +586,8 @@ def check_report(
     if baseline is None:
         lines.append("note baseline not found: hard floors only")
     elif _population(report) != _population(baseline):
-        # the speedup ratios scale with the microbench population (the
-        # batch channel advantage grows with events per slot), so a
+        # the speedup ratio scales with the microbench population (the
+        # heap's O(log n) sift grows with the pending events), so a
         # --quick run compared against the committed full baseline
         # would regress spuriously.  The hard floors above — already
         # de-rated for quick mode — carry the gate instead.
@@ -639,7 +603,7 @@ def check_report(
         # ratchet; the hard floors above still carry the gate.
         if report.get("quick"):
             tolerance = max(tolerance, 0.5)
-        for key in sorted(set(gates) | {"speedup", "speedup_batch"}):
+        for key in sorted(set(gates) | {"speedup"}):
             fresh, base = report.get(key), baseline.get(key)
             if fresh is None or base is None or base <= 0:
                 continue
@@ -669,8 +633,6 @@ def render_report(report: Dict[str, Any]) -> str:
         )
     if "speedup" in report:
         lines.append(f"bucket vs heap dispatch speedup: {report['speedup']:.2f}x")
-    if "speedup_batch" in report:
-        lines.append(f"batch vs bucket dispatch speedup: {report['speedup_batch']:.2f}x")
     gate = report.get("routing")
     if gate:
         lines.append(

@@ -5,7 +5,7 @@ instant fire in scheduling order (FIFO tie-break via a monotonically
 increasing sequence number), which makes every simulation in this
 repository bit-for-bit reproducible for a fixed seed.
 
-Three interchangeable kernels implement that contract (see
+Two interchangeable kernels implement that contract (see
 docs/performance.md):
 
 * ``"bucket"`` (the default) — a calendar/bucket queue covering a
@@ -27,18 +27,8 @@ docs/performance.md):
   (or ``REPRO_SIM_KERNEL=heap``) selects it, and the equivalence tests
   assert byte-identical results against the bucket kernel across all
   schemes.
-* ``"batch"`` — the struct-of-arrays slot kernel
-  (:mod:`repro.sim.batch`): pending events live in flat parallel
-  arrays keyed by MTU-slot index, each slot is ordered once with a
-  vectorised ``lexsort`` when the clock enters it, and homogeneous
-  recurring event populations can be promoted to vectorised
-  *channels* (:meth:`repro.sim.batch.BatchSimulator.add_channel`)
-  that advance a whole array of timers per slot instead of running
-  one Python callback per event.  ``Simulator(kernel="batch")`` (or
-  ``REPRO_SIM_KERNEL=batch``) transparently constructs a
-  :class:`~repro.sim.batch.BatchSimulator`.
 
-All kernels share the seq allocator and dispatch order ``(time,
+Both kernels share the seq allocator and dispatch order ``(time,
 seq)``, so they fire the exact same callbacks in the exact same order:
 determinism is the contract, the kernel is an implementation detail.
 """
@@ -64,19 +54,20 @@ class SimulationError(RuntimeError):
 
 
 #: the available queue kernels (see module docstring).
-KERNELS = ("bucket", "heap", "batch")
+KERNELS = ("bucket", "heap")
 #: process-wide default kernel; the ``REPRO_SIM_KERNEL`` environment
 #: variable overrides it (inherited by sweep worker processes).
 DEFAULT_KERNEL = "bucket"
 _KERNEL_ENV = "REPRO_SIM_KERNEL"
 
-#: calendar-queue geometry defaults.  Buckets are kept *narrower* than
-#: the shortest recurring delay (the 40 ns wire delay): an event landing
-#: in the bucket currently being consumed needs an O(bucket-population)
-#: ``insort``, while anything filed into a later bucket is an O(1)
-#: append — so a sub-wire-delay width turns virtually every insertion
-#: into an append regardless of how many events are in flight.  The
-#: window still spans ~262 µs, far beyond every recurring delay (link
+#: calendar-queue geometry defaults.  An event landing in the bucket
+#: currently being consumed needs an O(bucket-population) ``insort``,
+#: while anything filed into a later bucket is an O(1) append.  32 ns is
+#: *wider* than the 20 ns default link delay, so some deliveries take
+#: the insort; the width is kept because it was measured: a 16 ns width
+#: turns those into appends but sends more entries through the per-bucket
+#: sort, and ran case #4/CCFIT slower in six of six alternating pairs.
+#: The window still spans ~262 µs, far beyond every recurring delay (link
 #: delays, control hops, IRD timers, metric sampling periods).
 DEFAULT_BUCKET_NS = 32.0
 DEFAULT_NUM_BUCKETS = 8192
@@ -91,8 +82,8 @@ _INF = float("inf")
 def resolve_kernel(kernel: Optional[str] = None) -> str:
     """``kernel`` argument > ``REPRO_SIM_KERNEL`` env > module default.
 
-    Names match case-insensitively (``"BATCH"`` resolves to
-    ``"batch"``); an unknown name raises :class:`ValueError` with a
+    Names match case-insensitively (``"HEAP"`` resolves to
+    ``"heap"``); an unknown name raises :class:`ValueError` with a
     did-you-mean hint — the CLI turns that into exit code 2, the same
     contract as unknown scheme/routing names.
     """
@@ -257,10 +248,9 @@ class Simulator:
     Parameters
     ----------
     kernel:
-        ``"bucket"`` (default), ``"heap"`` or ``"batch"``; ``None``
-        resolves through :func:`resolve_kernel` (``REPRO_SIM_KERNEL``
-        env override).  ``"batch"`` transparently constructs a
-        :class:`repro.sim.batch.BatchSimulator`.
+        ``"bucket"`` (default) or ``"heap"``; ``None`` resolves
+        through :func:`resolve_kernel` (``REPRO_SIM_KERNEL`` env
+        override).
     bucket_ns, num_buckets:
         Calendar-queue geometry (bucket kernel only).
     profile:
@@ -290,17 +280,6 @@ class Simulator:
         "_pool",
         "event_counts",
     )
-
-    def __new__(cls, kernel: Optional[str] = None, *args: Any, **kwargs: Any):
-        # ``Simulator(kernel="batch")`` (or the env override) hands the
-        # whole construction to the struct-of-arrays kernel, so every
-        # call site — runner, sweep workers, guard, perf — selects it
-        # through the exact same ``kernel=`` plumbing as the others.
-        if cls is Simulator and resolve_kernel(kernel) == "batch":
-            from repro.sim.batch import BatchSimulator
-
-            return object.__new__(BatchSimulator)
-        return object.__new__(cls)
 
     def __init__(
         self,

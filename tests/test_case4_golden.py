@@ -7,7 +7,7 @@ records thousands of CFQ allocation failures, so it exercises the
 out-of-CFQs branches of detection and post-processing, the iSlip
 matcher under contention and the whole Stop/Go/dealloc state machine —
 paths the case #1/#2 goldens of ``test_scheme_equivalence.py`` never
-reach.  Every kernel must reproduce the pinned bytes.
+reach.  Both kernels must reproduce the pinned bytes.
 """
 
 import hashlib
@@ -24,9 +24,9 @@ GOLDEN = json.loads(
 )
 META = GOLDEN["_meta"]
 
-#: the kernels the golden was pinned on, plus the batch slot kernel
-#: (kernel choice never changes results).
-KERNELS_UNDER_TEST = tuple(META["kernels"]) + ("batch",)
+#: the kernels the golden was pinned on (kernel choice never changes
+#: results).
+KERNELS_UNDER_TEST = tuple(META["kernels"])
 
 
 @pytest.mark.parametrize("kernel", KERNELS_UNDER_TEST)

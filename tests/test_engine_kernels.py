@@ -49,6 +49,83 @@ def test_unknown_kernel_rejected():
         resolve_kernel("fibonacci")
 
 
+def _stale_resolve_kernel(tmp_path, monkeypatch, capsys):
+    with pytest.raises(ValueError) as exc:
+        resolve_kernel("batch")
+    return str(exc.value)
+
+
+def _stale_simulator(tmp_path, monkeypatch, capsys):
+    with pytest.raises(ValueError) as exc:
+        Simulator(kernel="batch")
+    return str(exc.value)
+
+
+def _stale_cli_flag(tmp_path, monkeypatch, capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--kernel", "batch", "case", "1"])
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+def _stale_cli_env(tmp_path, monkeypatch, capsys):
+    from repro.cli import main
+
+    monkeypatch.setenv("REPRO_SIM_KERNEL", "batch")
+    assert main(["table1"]) == 2
+    return capsys.readouterr().err
+
+
+def _stale_http_submit(tmp_path, monkeypatch, capsys):
+    from repro.service import ServiceClient, ServiceServer
+    from repro.service.api import ServiceError
+
+    with ServiceServer(tmp_path / "broker", port=0,
+                       cache_dir=str(tmp_path / "cache")) as srv:
+        with pytest.raises(ServiceError) as exc:
+            ServiceClient(srv.url).submit("fig7a", kernel="batch")
+    assert "HTTP 400" in str(exc.value)
+    return str(exc.value)
+
+
+def _stale_queued_spec(tmp_path, monkeypatch, capsys):
+    from repro.experiments import registry
+    from repro.service import FsBroker, Worker
+
+    (job, *_) = registry.get("fig7a").jobs(schemes=("CCFIT",), time_scale=0.02, seed=1)
+    broker = FsBroker(tmp_path)
+    run = broker.submit([job], experiment="fig7a")
+    # a spec queued by a submitter that still knew the name
+    path = tmp_path / "queue" / f"{job.key()}.json"
+    rec = json.loads(path.read_text())
+    assert rec["spec"]["schema"] == 1
+    rec["spec"]["kernel"] = "batch"
+    path.write_text(json.dumps(rec))
+    summary = Worker(broker, worker_id="w1", max_cells=1).run()
+    assert summary["failed"] == 1
+    message = broker.run_manifest(run.id)["failures"][0]["message"]
+    assert "undecodable job spec" in message
+    return message
+
+
+@pytest.mark.parametrize("entry", [
+    _stale_resolve_kernel,
+    _stale_simulator,
+    _stale_cli_flag,
+    _stale_cli_env,
+    _stale_http_submit,
+    _stale_queued_spec,
+], ids=lambda fn: fn.__name__[len("_stale_"):])
+def test_stale_batch_kernel_name_fails_loudly(entry, tmp_path, monkeypatch, capsys):
+    """``batch`` is no longer a kernel: every entry point that accepts a
+    kernel name rejects it and lists the valid ones."""
+    message = entry(tmp_path, monkeypatch, capsys)
+    assert "'batch'" in message
+    assert "('bucket', 'heap')" in message or "choose from bucket, heap" in message
+
+
 def test_bad_geometry_rejected():
     with pytest.raises(ValueError):
         Simulator(bucket_ns=0.0)
@@ -261,7 +338,6 @@ def test_case_results_byte_identical_across_kernels():
             )
             blobs[k] = json.dumps(res.to_dict(), sort_keys=True)
         assert blobs["bucket"] == blobs["heap"], f"kernel divergence under {scheme}"
-        assert blobs["batch"] == blobs["heap"], f"batch kernel divergence under {scheme}"
 
 
 # ----------------------------------------------------------------------

@@ -7,11 +7,10 @@ stall watchdog's fault snapshot, byte-identity of fault-free runs,
 cache-key semantics, the routing reaction (adaptive rides out a kill
 that makes det drop at the source; the delayed deterministic re-route
 recovers), the journal torn-line warning, error-context satellites and
-the batch-kernel fallback.
+bucket/heap byte-identity under a kill plan.
 """
 
 import json
-import warnings
 
 import pytest
 
@@ -322,7 +321,7 @@ class TestDegradedLinks:
 
 
 # ---------------------------------------------------------------------------
-# satellites: error context, journal torn line, batch fallback
+# satellites: error context, journal torn line, kernel equivalence
 # ---------------------------------------------------------------------------
 class TestErrorContext:
     def test_link_error_names_endpoints_and_time(self):
@@ -354,18 +353,18 @@ class TestJournalTornLine:
         assert set(done) == {"k1"}
 
 
-class TestBatchFallback:
-    def test_batch_kernel_falls_back_to_bucket_with_warning(self):
+class TestKernelEquivalence:
+    def test_bucket_matches_heap_under_kill_plan(self):
         spec = f"kill:{CASE1_LINK}@0.5ms"
-        with pytest.warns(RuntimeWarning, match="batch"):
-            batch = run_case("case1", scheme="1Q", time_scale=SCALE, seed=1,
-                             kernel="batch", faults=spec)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            bucket = run_case("case1", scheme="1Q", time_scale=SCALE, seed=1,
-                              kernel="bucket", faults=spec)
-        assert (json.dumps(batch.to_dict(), sort_keys=True)
-                == json.dumps(bucket.to_dict(), sort_keys=True))
+        blobs = {
+            kernel: json.dumps(
+                run_case("case1", scheme="1Q", time_scale=SCALE, seed=1,
+                         kernel=kernel, faults=spec).to_dict(),
+                sort_keys=True,
+            )
+            for kernel in ("bucket", "heap")
+        }
+        assert blobs["bucket"] == blobs["heap"]
 
 
 # ---------------------------------------------------------------------------

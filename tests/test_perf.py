@@ -4,6 +4,8 @@ import json
 
 from repro.cli import main
 from repro.perf import (
+    PERF_GATES,
+    check_report,
     dispatch_microbench,
     render_report,
     run_perf,
@@ -94,3 +96,68 @@ def test_cli_perf_quick_writes_valid_json(tmp_path, capsys):
 def test_cli_perf_rejects_unknown_case_and_scheme(tmp_path):
     assert main(["perf", "--case", "nope", "--out", str(tmp_path / "x.json")]) == 2
     assert main(["perf", "--schemes", "XX", "--out", str(tmp_path / "x.json")]) == 2
+    # 'all' is the only kernel alias; 'both' takes the unknown-name path
+    assert main(["perf", "--kernel", "both", "--out", str(tmp_path / "x.json")]) == 2
+
+
+# ----------------------------------------------------------------------
+# the perf ratchet (repro perf --check)
+# ----------------------------------------------------------------------
+def _report(**over):
+    base = {
+        "schema": "repro.perf/1",
+        "microbench": {"bucket": {"events": 300_000}},
+        "speedup": 3.0,
+        "routing": {"ok": True, "overhead_pct": 1.0, "gate_pct": 5.0},
+        "telemetry": [
+            {"case": "case1", "scheme": "CCFIT", "kernel": "bucket", "byte_identical": True}
+        ],
+    }
+    base.update(over)
+    return base
+
+
+def test_check_report_passes_on_itself():
+    report = _report()
+    ok, lines = check_report(report, report)
+    assert ok, lines
+
+
+def test_check_report_hard_floor():
+    ok, lines = check_report(_report(speedup=PERF_GATES["speedup"] - 0.3), None)
+    assert not ok
+    assert any("speedup" in line for line in lines if line.startswith("FAIL"))
+
+
+def test_check_report_baseline_regression():
+    fresh = _report(speedup=PERF_GATES["speedup"] + 0.2)
+    ok, lines = check_report(fresh, _report())
+    assert not ok, lines  # 2.0x vs 3.0x: above the floor, past the band
+
+
+def test_check_report_tolerance_band_absorbs_noise():
+    fresh = _report(speedup=2.7)
+    ok, lines = check_report(fresh, _report())
+    assert ok, lines
+
+
+def test_check_report_population_mismatch_skips_ratchet():
+    # 1.3x clears the quick floor but is past even the quick band vs 3.0x
+    fresh = _report(
+        microbench={"bucket": {"events": 60_000}}, speedup=1.3, quick=True
+    )
+    ok, lines = check_report(fresh, _report())
+    assert ok, lines
+    assert any("population differs" in line for line in lines)
+
+
+def test_check_report_routing_and_telemetry_gates():
+    bad_routing = _report(routing={"ok": False, "overhead_pct": 9.0, "gate_pct": 5.0})
+    ok, _ = check_report(bad_routing, None)
+    assert not ok
+    bad_tele = _report(
+        telemetry=[{"case": "case1", "scheme": "CCFIT", "kernel": "heap",
+                    "byte_identical": False}]
+    )
+    ok, _ = check_report(bad_tele, None)
+    assert not ok

@@ -7,9 +7,11 @@ Covers the three contracts of the shared-buffer PR:
 * the PFC/PFC+RCM schemes and the shared model run end to end under
   the invariant guard, and the shared model actually pauses;
 * the plumbing edges: cache-key discipline, case-insensitive CLI
-  resolution with a did-you-mean exit, and the batch-kernel fallback.
+  resolution with a did-you-mean exit, and bucket/heap byte-identity
+  under the shared model.
 """
 
+import json
 from argparse import Namespace
 
 import pytest
@@ -92,13 +94,20 @@ class TestPlumbing:
         assert j_shared.label().endswith("%shared")
         assert "%" not in j_static.label()
 
-    def test_batch_kernel_falls_back_to_bucket(self):
-        with pytest.warns(RuntimeWarning, match="batch"):
-            res = run_case(
-                "case1", scheme="CCFIT", time_scale=0.05,
-                kernel="batch", buffer_model="shared",
+    def test_shared_model_bucket_matches_heap(self):
+        # PFC, not CCFIT: this cell must actually pause, so the
+        # PAUSE/RESUME control events run on both kernels
+        results = {
+            kernel: run_case(
+                "case1", scheme="PFC", time_scale=0.05,
+                kernel=kernel, buffer_model="shared",
             )
-        assert res.stats["delivered_packets"] > 0
+            for kernel in ("bucket", "heap")
+        }
+        assert results["bucket"].stats["delivered_packets"] > 0
+        assert results["bucket"].stats["pfc_pauses_sent"] > 0
+        assert (json.dumps(results["bucket"].to_dict(), sort_keys=True)
+                == json.dumps(results["heap"].to_dict(), sort_keys=True))
 
     def test_datacenter_incast_registered(self):
         from repro.experiments import registry

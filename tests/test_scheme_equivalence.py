@@ -22,12 +22,12 @@ GOLDEN = json.loads(GOLDEN_PATH.read_text())
 META = GOLDEN["_meta"]
 
 #: the kernels the golden cells must reproduce on: the two the golden
-#: file was pinned with, plus every kernel added since (the batch slot
-#: kernel) — the golden bytes are kernel-invariant by contract, so new
-#: kernels join the parametrization without touching the golden file.
-KERNELS_UNDER_TEST = tuple(META["kernels"]) + ("batch",)
+#: file was pinned with — the golden bytes are kernel-invariant by
+#: contract, so a new kernel joins the parametrization without touching
+#: the golden file.
+KERNELS_UNDER_TEST = tuple(META["kernels"])
 
-#: every registered routing policy (the batch × routing grid below).
+#: every registered routing policy (the kernel × routing grid below).
 ROUTING_POLICIES = ("det", "ecmp", "adaptive", "flowlet")
 
 
@@ -90,31 +90,31 @@ def _cross_kernel_blob(case, scheme, routing, kernel, time_scale):
 
 
 @pytest.mark.parametrize("routing", ROUTING_POLICIES)
-def test_batch_kernel_byte_identical_under_every_routing_policy(routing):
-    """The batch kernel must agree with the heap golden reference under
+def test_bucket_kernel_byte_identical_under_every_routing_policy(routing):
+    """The bucket kernel must agree with the heap golden reference under
     every routing policy, not only the golden det cells — non-det
     results have no golden pin, so the reference is a fresh heap run
     of the same cell (tier-1 sized: one scheme, the small case)."""
     blobs = {
         kernel: _cross_kernel_blob("case1", "CCFIT", routing, kernel, 0.05)
-        for kernel in ("heap", "batch")
+        for kernel in ("heap", "bucket")
     }
-    assert blobs["batch"] == blobs["heap"], f"batch diverges under routing={routing}"
+    assert blobs["bucket"] == blobs["heap"], f"bucket diverges under routing={routing}"
 
 
 @pytest.mark.tier2
 @pytest.mark.parametrize("routing", ROUTING_POLICIES)
 @pytest.mark.parametrize("scheme", META["schemes"])
-def test_batch_kernel_full_scheme_routing_grid(scheme, routing):
+def test_bucket_kernel_full_scheme_routing_grid(scheme, routing):
     """Tier-2 big grid: every paper scheme × every routing policy,
-    batch vs heap, on the golden scenario sizes."""
+    bucket vs heap, on the golden scenario sizes."""
     for case, time_scale in META["grid"].items():
         blobs = {
             kernel: _cross_kernel_blob(case, scheme, routing, kernel, time_scale)
-            for kernel in ("heap", "batch")
+            for kernel in ("heap", "bucket")
         }
-        assert blobs["batch"] == blobs["heap"], (
-            f"batch diverges: {case}/{scheme}@{routing}"
+        assert blobs["bucket"] == blobs["heap"], (
+            f"bucket diverges: {case}/{scheme}@{routing}"
         )
 
 
